@@ -18,9 +18,9 @@ from repro.campaign.cells import (CampaignConfig, CellSpec, FIGURES,
 from repro.campaign.heartbeat import Heartbeat
 from repro.campaign.scheduler import (AttemptFailure, CampaignOutcome,
                                       CampaignScheduler)
-from repro.campaign.store import (CorruptRecord, ResultStore, atomic_write,
-                                  checksum)
+from repro.campaign.store import CorruptRecord, ResultStore
 from repro.campaign.worker import run_cell
+from repro.durable import atomic_write, checksum
 
 __all__ = [
     "AttemptFailure",

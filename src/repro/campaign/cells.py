@@ -15,11 +15,11 @@ benchmark's defense rows, so :func:`rows_from_records` joins records into
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import CORTEX_A76, DefenseKind, SystemConfig
+from repro.durable import canonical
 from repro.errors import CampaignError
 from repro.eval.experiments import (FIG6_DEFENSES, FIG9_DEFENSES,
                                     ExperimentRow)
@@ -154,9 +154,8 @@ class CampaignConfig:
 
     def config_hash(self) -> str:
         """Deterministic digest of every parameter that affects results."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+        return hashlib.sha256(
+            canonical(self.to_dict()).encode("utf-8")).hexdigest()[:16]
 
     @property
     def defenses(self) -> List[DefenseKind]:

@@ -44,8 +44,9 @@ from typing import Callable, Dict, List, Optional
 from repro.campaign import pool
 from repro.campaign.cells import (CampaignConfig, CellSpec, rows_from_records)
 from repro.campaign.pool import AdaptiveWait, WorkerExit, WorkerProcess
-from repro.campaign.store import CorruptRecord, ResultStore, atomic_write
+from repro.campaign.store import CorruptRecord, ResultStore
 from repro.config import DefenseKind
+from repro.durable import atomic_write
 from repro.eval.experiments import ExperimentRow, render_rows
 from repro.telemetry.obs import (SPAN_CHECKPOINT_RESTORE, FlightRecorder,
                                  SpanRecorder, new_trace_id)

@@ -29,12 +29,12 @@ from typing import List, Optional
 
 from repro.campaign.cells import CellSpec, system_config
 from repro.campaign.heartbeat import Heartbeat
-from repro.campaign.store import atomic_write
 from repro.checkpoint import (CheckpointHook, CheckpointManager,
                               CheckpointStats, config_fingerprint,
                               program_fingerprint, read_checkpoint,
                               write_checkpoint)
 from repro.config import DefenseKind
+from repro.durable import atomic_write
 from repro.errors import CheckpointError, ReproError
 from repro.multicore import MulticoreSystem
 from repro.system import build_system

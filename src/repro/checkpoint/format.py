@@ -10,17 +10,18 @@ The header carries the schema version, the SHA-256-derived fingerprints of
 the :class:`~repro.config.SystemConfig` and the program(s) the snapshot was
 taken against, the paused cycle, and a section table (name, byte length,
 SHA-256 of the compressed payload).  Each section is the zlib-compressed
-canonical JSON of one ``state_dict()`` subtree, hashed independently so a
+``json.dumps(sort_keys=True)`` of one ``state_dict()`` subtree (part of the
+format, so not :func:`repro.durable.canonical`), hashed independently so a
 flipped bit is attributed to the section it hit.
 
-Durability follows the PR-2 store idiom: writes go through a same-directory
-temp file, ``fsync``, and ``os.replace``, so a crash mid-write leaves either
-the old generation or the new one, never a tear.  Reads fail *closed*: every
-malformed input maps to a :class:`~repro.errors.CheckpointError` whose
-``kind`` names the failure class ("missing", "bad-magic", "torn-header",
-"schema-skew", "config-skew", "truncated", "section-corrupt") — the
-degradation ladder upstream (generation walk-back, straight-through re-run)
-keys off those kinds and never sees a half-trusted snapshot.
+Writes go through :func:`repro.durable.atomic_write`, so a crash mid-write
+leaves either the old generation or the new one, never a tear.  Reads fail
+*closed*: every malformed input maps to a
+:class:`~repro.errors.CheckpointError` whose ``kind`` names the failure
+class ("missing", "bad-magic", "torn-header", "schema-skew",
+"config-skew", "truncated", "section-corrupt") — the degradation ladder
+upstream (generation walk-back, straight-through re-run) keys off those
+kinds and never sees a half-trusted snapshot.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
-import tempfile
 import zlib
 from typing import Dict, Iterable, Tuple
 
+from repro.durable import atomic_write
 from repro.errors import CheckpointError
 
 MAGIC = b"repro-ckpt\n"
@@ -91,26 +91,6 @@ def program_fingerprint(programs) -> str:
 # writing
 # ----------------------------------------------------------------------
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    """Same-directory tmp + fsync + ``os.replace`` (PR-2 durability idiom)."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_checkpoint(path: str, sections: Dict[str, object], *,
                      config_hash: str, program_hash: str,
                      cycle: int) -> int:
@@ -127,7 +107,7 @@ def write_checkpoint(path: str, sections: Dict[str, object], *,
               "program": program_hash, "cycle": cycle, "sections": table}
     blob = (MAGIC + json.dumps(header, sort_keys=True).encode("utf-8")
             + b"\n" + b"".join(payloads))
-    _atomic_write_bytes(path, blob)
+    atomic_write(path, blob)
     return len(blob)
 
 

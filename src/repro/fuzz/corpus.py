@@ -9,10 +9,10 @@ run::
     regressions.jsonl    triaged disagreements, checksummed
     regressions/reg-NNNN.s   one minimized reproducer per finding
 
-Durability follows the repo's store idioms: every file lands via the
-same-directory temp + fsync + ``os.replace`` writer
-(:func:`repro.checkpoint.format._atomic_write_bytes`), and every JSONL
-record wraps its payload with a SHA-256 so :func:`load_run` can attribute
+Durability comes from :mod:`repro.durable`: every file lands through
+``atomic_write``, and each JSONL file is a checksummed log whose lines
+wrap their payload as ``{"payload", "sha"}`` — the first 16 hex digits of
+the SHA-256 of the canonical payload — so :func:`load_run` can attribute
 a flipped bit to the line it hit.  Loading is corruption-*tolerant*
 (corrupt lines are counted and skipped, mirroring the campaign result
 store) — except the manifest, which fails closed via
@@ -35,8 +35,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.analysis import hooks
 from repro.analysis.gadgets import find_gadgets
 from repro.attacks.common import AttackProgram, run_attack_program
-from repro.checkpoint.format import _atomic_write_bytes
 from repro.config import DefenseKind
+from repro.durable import ChecksummedLog, atomic_write, canonical
 from repro.errors import FuzzError, ReproError
 from repro.fuzz.coverage import CoverageMap
 from repro.fuzz.executor import (
@@ -58,45 +58,31 @@ REGRESSIONS = "regressions.jsonl"
 REGRESSION_DIR = "regressions"
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _digest(payload: object) -> str:
+    return hashlib.sha256(canonical(payload).encode("utf-8")).hexdigest()[:16]
 
 
-def _record_line(payload: dict) -> str:
-    blob = _canonical(payload)
-    sha = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    return json.dumps({"payload": payload, "sha": sha}, sort_keys=True,
-                      separators=(",", ":"))
+class _CorpusLog(ChecksummedLog):
+    """The corpus's ``{"payload", "sha"}`` line wrapper (no schema stamp:
+    the run's schema lives in its manifest)."""
 
+    def __init__(self, path: str):
+        super().__init__(path, FUZZ_SCHEMA)
 
-def _write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    def seal(self, record: dict) -> str:
+        return canonical({"payload": record, "sha": _digest(record)})
+
+    def verify(self, record: dict) -> Optional[str]:
+        if "payload" in record and record.get("sha") == _digest(
+                record["payload"]):
+            return None
+        return "checksum mismatch — corrupted record"
 
 
 def _read_records(path: str) -> Tuple[List[dict], int]:
-    """Checksummed-JSONL reader: (intact payloads, corrupt line count)."""
-    records: List[dict] = []
-    corrupt = 0
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except FileNotFoundError:
-        return records, corrupt
-    for line in lines:
-        if not line.strip():
-            continue
-        try:
-            wrapper = json.loads(line)
-            payload = wrapper["payload"]
-            blob = _canonical(payload)
-            expect = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-            if wrapper["sha"] != expect:
-                raise ValueError("checksum mismatch")
-        except (ValueError, KeyError, TypeError):
-            corrupt += 1
-            continue
-        records.append(payload)
-    return records, corrupt
+    """(intact payloads, corrupt line count) of one corpus JSONL file."""
+    lines, rejects = _CorpusLog(path).load()
+    return [line["payload"] for line in lines], len(rejects)
 
 
 # -- saving -------------------------------------------------------------------
@@ -109,25 +95,25 @@ def regression_filename(index: int) -> str:
 def save_run(directory: str, result: FuzzResult) -> None:
     """Persist one executor run as a complete, replayable run directory."""
     os.makedirs(os.path.join(directory, REGRESSION_DIR), exist_ok=True)
-    _write_text(os.path.join(directory, MANIFEST), _canonical(
+    atomic_write(os.path.join(directory, MANIFEST), canonical(
         {"schema": FUZZ_SCHEMA, "config": result.config.to_dict(),
          "executed": result.executed, "simulated": result.simulated,
          "build_errors": result.build_errors,
          "sim_errors": result.sim_errors}) + "\n")
-    _write_text(os.path.join(directory, COVERAGE),
-                _canonical(result.coverage.to_dict()) + "\n")
-    _write_text(os.path.join(directory, CORPUS), "".join(
-        _record_line({"id": k, "spec": spec.to_dict()}) + "\n"
-        for k, spec in enumerate(result.admitted)))
-    lines = []
+    atomic_write(os.path.join(directory, COVERAGE),
+                 canonical(result.coverage.to_dict()) + "\n")
+    _CorpusLog(os.path.join(directory, CORPUS)).rewrite(
+        {"id": k, "spec": spec.to_dict()}
+        for k, spec in enumerate(result.admitted))
+    payloads = []
     for index, finding in enumerate(result.disagreements):
         name = regression_filename(index)
-        _write_text(os.path.join(directory, REGRESSION_DIR, name),
-                    finding.source_text)
+        atomic_write(os.path.join(directory, REGRESSION_DIR, name),
+                     finding.source_text)
         payload = finding.to_dict()
         payload["file"] = f"{REGRESSION_DIR}/{name}"
-        lines.append(_record_line(payload) + "\n")
-    _write_text(os.path.join(directory, REGRESSIONS), "".join(lines))
+        payloads.append(payload)
+    _CorpusLog(os.path.join(directory, REGRESSIONS)).rewrite(payloads)
 
 
 # -- loading ------------------------------------------------------------------
@@ -260,7 +246,7 @@ def merge_runs(out_dir: str, shard_dirs: Iterable[str],
         merged.build_errors += int(run.manifest.get("build_errors", 0))
         merged.sim_errors += int(run.manifest.get("sim_errors", 0))
         for spec in run.specs:
-            key = _canonical(spec.to_dict())
+            key = canonical(spec.to_dict())
             if key not in seen:
                 seen.add(key)
                 merged.admitted.append(spec)
@@ -337,5 +323,5 @@ def export_requests(directory: str, out_path: str,
         if deadline_s is not None:
             request["deadline_s"] = deadline_s
         lines.append(json.dumps(request, sort_keys=True) + "\n")
-    _write_text(out_path, "".join(lines))
+    atomic_write(out_path, "".join(lines))
     return len(lines)

@@ -2,13 +2,13 @@
 
 Two layers with one key (:func:`repro.service.protocol.content_key`):
 
-- :class:`VerdictCache` — completed verdicts, persisted through the same
-  atomic-write + per-record-SHA-256 JSONL discipline as the campaign
-  :class:`~repro.campaign.store.ResultStore`: a crash mid-append leaves
-  the previous intact file, and a corrupted or truncated record is
-  *skipped and counted* at warm-start, never trusted and never fatal.
-  Restarting the service over the same state directory therefore
-  warm-starts with every verdict that ever completed.
+- :class:`VerdictCache` — completed verdicts, persisted as a
+  :class:`~repro.durable.ChecksummedLog` like the campaign
+  :class:`~repro.campaign.store.ResultStore`: each put is one O(1)
+  append, and a corrupted, truncated or stale record is *skipped and
+  counted* at warm-start, never trusted and never fatal.  Restarting
+  the service over the same state directory therefore warm-starts with
+  every verdict that ever completed.
 - :class:`SingleFlight` — the in-flight dedup: the first request for a
   key becomes the *leader* and computes; identical concurrent requests
   become followers awaiting the leader's future, so a thundering herd of
@@ -18,20 +18,13 @@ Two layers with one key (:func:`repro.service.protocol.content_key`):
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.campaign.store import atomic_write, checksum
+from repro.durable import ChecksummedLog
 
 #: Bump when the cached-record layout changes; stale records re-compute.
 CACHE_SCHEMA = 1
-
-_CHECKSUM_FIELD = "sha256"
-
-
-def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 class VerdictCache:
@@ -42,34 +35,18 @@ class VerdictCache:
     def __init__(self, directory: str):
         self.directory = directory
         self.path = os.path.join(directory, self.FILE)
-        self._entries: Dict[str, dict] = {}
-        #: Records rejected at warm-start (corrupt/stale), for the report.
-        self.rejected = 0
         os.makedirs(directory, exist_ok=True)
-        self._load()
-
-    def _load(self) -> None:
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    self.rejected += 1
-                    continue
-                if not isinstance(record, dict) \
-                        or record.get(_CHECKSUM_FIELD) is None \
-                        or checksum(record) != record[_CHECKSUM_FIELD] \
-                        or record.get("schema") != CACHE_SCHEMA \
-                        or not isinstance(record.get("key"), str):
-                    self.rejected += 1
-                    continue
+        self._log = ChecksummedLog(self.path, CACHE_SCHEMA)
+        records, rejects = self._log.load()
+        #: Records rejected at warm-start (corrupt/stale), for the report.
+        self.rejected = len(rejects)
+        self._entries: Dict[str, dict] = {}
+        for record in records:
+            if isinstance(record.get("key"), str):
                 # Later records win: a re-computed verdict supersedes.
                 self._entries[record["key"]] = record["row"]
+            else:
+                self.rejected += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -81,21 +58,8 @@ class VerdictCache:
         return self._entries.get(key)
 
     def put(self, key: str, row: dict) -> None:
-        """Store and durably append one verdict payload.
-
-        Same discipline as the campaign store: the whole file is rewritten
-        through a same-directory tmp + ``os.replace`` with the new line
-        appended — O(n) per put, atomic under any crash.
-        """
-        record = {"schema": CACHE_SCHEMA, "key": key, "row": row}
-        record[_CHECKSUM_FIELD] = checksum(record)
-        existing = ""
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as handle:
-                existing = handle.read()
-        if existing and not existing.endswith("\n"):
-            existing += "\n"   # heal a torn tail; _load counted the line
-        atomic_write(self.path, existing + _canonical(record) + "\n")
+        """Store and durably append one verdict payload."""
+        self._log.append({"key": key, "row": row})
         self._entries[key] = row
 
 

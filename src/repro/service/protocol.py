@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.config import DefenseKind
+from repro.durable import canonical
 from repro.errors import ServiceError
 from repro.telemetry.obs import is_trace_id
 
@@ -249,8 +250,7 @@ def stats_response(request_id: str, stats,
 
 def encode(response: dict) -> str:
     """One response line (newline-terminated, compact)."""
-    return json.dumps(response, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return canonical(response) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -282,10 +282,9 @@ def content_key(request: Request) -> str:
         defense=request.defense.value,
         secret_ranges=request.secret_ranges, confirm=request.confirm,
         chaos=request.chaos)
-    canonical = json.dumps(
+    blob = canonical(
         {"subject": fields.subject, "witness": fields.is_witness,
          "defense": fields.defense,
          "secrets": [list(r) for r in fields.secret_ranges],
-         "confirm": fields.confirm, "chaos": fields.chaos},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+         "confirm": fields.confirm, "chaos": fields.chaos})
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, List, Optional, Tuple
 
-from repro.campaign.store import atomic_write
+from repro.durable import atomic_write
 from repro.errors import ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.breaker import CircuitBreaker, Quarantine

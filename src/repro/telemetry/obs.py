@@ -42,6 +42,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, IO, Iterable, List, Optional, Tuple
 
+from repro.durable import canonical
+
 #: Span names used across the repo (free-form names are also accepted;
 #: these are the typed vocabulary the renderer and tests key on).
 SPAN_QUEUE_WAIT = "queue-wait"
@@ -230,8 +232,7 @@ class SpanRecorder:
         return span
 
     def emit(self, span: Span) -> None:
-        line = json.dumps(span.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+        line = canonical(span.to_dict())
         with self._lock:
             self.emitted += 1
             if self._handle is not None:

@@ -64,6 +64,41 @@ def test_cache_skips_corrupt_lines_without_failing(tmp_path):
     assert survivor.rejected == 3       # bad json + bad schema + checksum
 
 
+def test_caches_sharing_a_file_keep_each_others_records(tmp_path):
+    # Two service workers load one summaries.jsonl, each lints something
+    # new and flushes: neither flush may drop the other's record.
+    path = os.path.join(tmp_path, "summaries.jsonl")
+    seed = SummaryCache(path)
+    seed.put("k0", {"payload": 0})
+    seed.flush()
+    worker_a, worker_b = SummaryCache(path), SummaryCache(path)
+    worker_a.put("ka", {"payload": "a"})
+    worker_b.put("kb", {"payload": "b"})
+    worker_a.flush()
+    worker_b.flush()
+    reloaded = SummaryCache(path)
+    assert {key: reloaded.get(key) for key in ("k0", "ka", "kb")} == {
+        "k0": {"payload": 0}, "ka": {"payload": "a"},
+        "kb": {"payload": "b"}}
+    assert reloaded.rejected == 0
+
+
+def test_compacting_flush_keeps_only_this_sessions_records(tmp_path):
+    path = os.path.join(tmp_path, "summaries.jsonl")
+    old = SummaryCache(path)
+    old.put("orphan", {"payload": 1})
+    old.put("kept", {"payload": 2})
+    old.flush()
+    session = SummaryCache(path)
+    session.get("kept")
+    session.put("new", {"payload": 3})
+    session.flush(compact=True)
+    reloaded = SummaryCache(path)
+    assert len(reloaded) == 2
+    assert reloaded.get("orphan") is None
+    assert reloaded.get("kept") == {"payload": 2}
+
+
 def test_cache_missing_file_is_empty_not_an_error(tmp_path):
     cache = SummaryCache(os.path.join(tmp_path, "absent.jsonl"))
     assert len(cache) == 0
